@@ -18,7 +18,8 @@ With ``--trace 0`` the run reports the end-to-end metrics; with
 metrics.  Every emitted program is checked against the original source on
 seeded inputs with plain NumPy (``reference.py``).  The last line of
 standard output is one JSON object; the exit code is 1 when any output
-failed a check, 2 when the program under test cannot be found.
+failed a check, 2 when the program under test cannot be found or a step of
+the run could not complete (no result is printed then).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import threading  # noqa: E402
 import time  # noqa: E402
+import traceback  # noqa: E402
 from importlib import metadata  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -137,16 +139,60 @@ COUNTER_METRICS = {
 
 SERVED_FROM = ("store", "rule-cache", "pattern", "synthesis", "dedup")
 
+_ENUM, _SEARCH, _WARM, _SERVE = (*SUITES, "serve-mixed")
+_SUITE_WORKLOADS = tuple(SUITES)
+
+#: Per-layer metric -> the (end-to-end metric, workloads) pairs it should
+#: move.  Printed in every traced report and tabled in README.md.
+LAYER_MOVES = {
+    **dict.fromkeys(
+        ("synth.library.build_s", "synth.library.stubs", "synth.library.sketches"),
+        (("batch_s", (_ENUM,)),),
+    ),
+    **dict.fromkeys(
+        ("symexec.execute_s", "symexec.equiv.residue_batteries",
+         "symexec.equiv.fingerprint_rejects", "symexec.equiv.sympy_fallbacks"),
+        (("batch_s", (_ENUM, _WARM)),),
+    ),
+    **dict.fromkeys(
+        ("synth.solver.solve_s", "synth.solver.calls", "synth.solver.solved_ratio",
+         "synth.search.dfs_self_s", "synth.search.base_match_s", "synth.search.nodes_expanded",
+         "synth.search.pruned_bound", "synth.search.pruned_simplification"),
+        (("batch_s", (_SEARCH,)),),
+    ),
+    **dict.fromkeys(
+        ("synth.cache.load_s", "synth.cache.save_s", "synth.cache.library_hits",
+         "synth.cache.solver_hits", "synth.cache.cost_hits"),
+        (("batch_s", (_WARM,)), ("setup_s", (_WARM,))),
+    ),
+    **dict.fromkeys(("cost.program_cost_s", "cost.calls"), (("batch_s", (_WARM, _ENUM)),)),
+    "verify.candidate_s": (("kernel_s_p50", _SUITE_WORKLOADS), ("latency_s_p50", (_SERVE,))),
+    "ir.parse_s": (("batch_s", _SUITE_WORKLOADS), ("latency_s_p50", (_SERVE,))),
+    **dict.fromkeys(
+        ("pipeline.rule_cache_s", "serve.ping_s", "serve.submit_s", "serve.log_record_s"),
+        (("latency_s_p50", (_SERVE,)),),
+    ),
+    **dict.fromkeys(
+        ("serve.result_wait_s", "serve.store_get_s",
+         *(f"serve.served_from.{k}" for k in SERVED_FROM)),
+        (("latency_s_p90", (_SERVE,)), ("throughput_rps", (_SERVE,))),
+    ),
+}
+
 #: Suite passes a timed run makes at least; more follow while they fit in
 #: ``--seconds``.  A second pass averages out part of the host's short-term
 #: speed noise on the workloads whose pass is short.
 MIN_PASSES = {"suite-enum": 1, "suite-search": 2, "suite-warm": 2}
-SETUP_REPEATS = 3
+#: Cold-start probes per suite run (half before the passes, half after) and
+#: daemon starts per serve-mixed run; ``setup_s`` is their median.
+SETUP_PROBES = 9
+DAEMON_STARTS = 5
 FILL_PROCESSES = max(1, min(os.cpu_count() or 1, 4))
 SERVE_WORKERS = 2
 SERVE_CLIENTS = 2
 #: serve-mixed's batch: the first requests of the stream, which include
-#: every pattern's first sighting.
+#: every pattern's first sighting.  The throughput window of ``--seconds``
+#: starts once the batch has completed.
 SERVE_BATCH = 100
 CHILD_TIMEOUT_S = 150.0
 
@@ -296,11 +342,14 @@ def run_suite(workload: str, seed: int, seconds: float, trace: bool, work: Path)
     names = list(SUITES[workload])
     cache = cold = None
     setup_s = 0.0
+    probes: list[float] = []
+    probe = not trace and workload != "suite-warm"
     if workload == "suite-warm":
+        # One fill: a second one would not fit the run budget (README.md).
         cache = work / "cache"
         setup_s, cold = fill_cache(names, cache, work)
-    elif not trace:
-        setup_s = statistics.median(setup_probe(names) for _ in range(SETUP_REPEATS))
+    elif probe:
+        probes = [setup_probe(names) for _ in range(SETUP_PROBES // 2)]
 
     untraced = None
     if trace:
@@ -315,6 +364,9 @@ def run_suite(workload: str, seed: int, seconds: float, trace: bool, work: Path)
             took = time.perf_counter() - began
             if len(passes) >= MIN_PASSES[workload] and time.perf_counter() - start + took > seconds:
                 break
+    if probe:
+        probes += [setup_probe(names) for _ in range(SETUP_PROBES - len(probes))]
+        setup_s = statistics.median(probes)
 
     checker = Checker(seed)
     failures = []
@@ -365,10 +417,14 @@ def run_suite(workload: str, seed: int, seconds: float, trace: bool, work: Path)
         metrics["synth.library.sketches"] = sum(r["sketches"] for r in first)
         metrics["synth.cache.library_hits"] = sum(r["library_cache_hit"] for r in first)
         unattributed = traced["batch_s"] - spans["top_level_s"]
+        report["moves"] = LAYER_MOVES
         report["trace"] = {
             "batch_s": traced["batch_s"],
             "untraced_batch_s": untraced["batch_s"],
             "overhead_s": traced["batch_s"] - untraced["batch_s"],
+            "overhead_est_s": spans["entries"] * spans["wrapper_cost_s"],
+            "span_entries": spans["entries"],
+            "wrapper_cost_s": spans["wrapper_cost_s"],
             "self_s": spans["self_s"],
             "span_calls": spans["calls"],
             "unattributed_s": unattributed,
@@ -410,11 +466,13 @@ def run_suite(workload: str, seed: int, seconds: float, trace: bool, work: Path)
 # -- serving workload --------------------------------------------------------------
 
 
-def closed_loop(socket_path: str, seed: int, seconds: float, trace: bool) -> tuple[list, float]:
-    """Two clients, each sending its next request once the last completes.
+def closed_loop(socket_path: str, seed: int, window: float, trace: bool) -> tuple[list, float, float]:
+    """Two clients, each sending its next request once its last completes.
 
-    Runs for ``seconds`` and at least until the first :data:`SERVE_BATCH`
-    requests of the stream were sent; returns one record per request.
+    Runs until the first :data:`SERVE_BATCH` requests of the stream have
+    completed, then for ``window`` seconds more.  Returns one record per
+    request, the time the batch completed and the time the window ended,
+    both counted from the loop's start.
     """
     from repro.pipeline import KernelSpec
     from repro.serve.client import ServeClient
@@ -423,18 +481,19 @@ def closed_loop(socket_path: str, seed: int, seconds: float, trace: bool) -> tup
     stream = request_stream(seed)
     lock = threading.Lock()
     records: list[dict] = []
-    taken = 0
+    errors: list[str] = []
+    batch_left = SERVE_BATCH
+    batch_s: float | None = None
     start = time.perf_counter()
 
     def client_loop() -> None:
-        nonlocal taken
+        nonlocal batch_left, batch_s
         client = ServeClient(socket_path, timeout_s=60.0)
         while True:
             with lock:
-                if time.perf_counter() - start >= seconds and taken >= SERVE_BATCH:
+                if batch_s is not None and time.perf_counter() - start >= batch_s + window:
                     return
                 index, pattern, name, shapes = next(stream)
-                taken += 1
             rec = {"index": index, "pattern": pattern, "name": name}
             began = time.perf_counter()
             try:
@@ -443,9 +502,9 @@ def closed_loop(socket_path: str, seed: int, seconds: float, trace: bool) -> tup
                     client.ping()
                     rec["ping_s"] = time.perf_counter() - began
                 began = time.perf_counter()
-                request_id = client.submit(KernelSpec(name, sources[pattern], shapes))
+                rec["id"] = client.submit(KernelSpec(name, sources[pattern], shapes))
                 submitted = time.perf_counter()
-                outcome = client.result(request_id, wait=True, timeout_s=120.0)
+                outcome = client.result(rec["id"], wait=True, timeout_s=120.0)
                 rec.update(
                     submit_s=submitted - began,
                     wait_s=time.perf_counter() - submitted,
@@ -461,16 +520,77 @@ def closed_loop(socket_path: str, seed: int, seconds: float, trace: bool) -> tup
             rec["done_s"] = now - start
             with lock:
                 records.append(rec)
+                if index < SERVE_BATCH:
+                    batch_left -= 1
+                    if batch_left == 0:
+                        batch_s = rec["done_s"]
 
-    threads = [threading.Thread(target=client_loop, daemon=True) for _ in range(SERVE_CLIENTS)]
+    def guarded() -> None:
+        try:
+            client_loop()
+        except Exception as exc:  # noqa: BLE001 — reported after the join
+            errors.append(f"{type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=guarded, daemon=True) for _ in range(SERVE_CLIENTS)]
     for thread in threads:
         thread.start()
+    deadline = time.perf_counter() + window + CHILD_TIMEOUT_S
     for thread in threads:
-        thread.join(seconds + CHILD_TIMEOUT_S)
+        thread.join(max(0.0, deadline - time.perf_counter()))
         if thread.is_alive():
             raise BenchError("a serving client did not finish")
+    if errors or batch_s is None:
+        raise BenchError(f"the serving clients stopped before the batch completed: {errors}")
     records.sort(key=lambda r: r["index"])
-    return records, max(r["done_s"] for r in records)
+    return records, batch_s, batch_s + window
+
+
+def serve_cmd(work: Path, name: str, spans_file: Path | None) -> tuple[list[str], str]:
+    """The daemon command for state directory ``work/name``, and its socket."""
+    socket_abs = work / f"{name}.sock"
+    serve_args = [
+        "--state-dir", str(work / name),
+        "--workers", str(SERVE_WORKERS),
+        "--socket", os.path.relpath(socket_abs, ROOT),
+    ]
+    if spans_file is not None:
+        cmd = [sys.executable, str(HERE / "serve_launcher.py"), "--spans-out", str(spans_file),
+               "--", *serve_args]
+    else:
+        cmd = [sys.executable, "-m", "repro.cli.serve", *serve_args]
+    return cmd, os.path.relpath(socket_abs)
+
+
+def start_daemon(cmd: list[str], socket_path: str, log) -> tuple[subprocess.Popen, float]:
+    """Start a daemon; returns it and the seconds until it answered a ping."""
+    from repro.serve.client import ServeClient
+
+    start = time.perf_counter()
+    daemon = subprocess.Popen(cmd, cwd=ROOT, env=child_env(), stdout=log, stderr=subprocess.STDOUT)
+    try:
+        ServeClient(socket_path, timeout_s=60.0).wait_ready(timeout_s=60.0)
+    except BaseException:
+        daemon.kill()
+        daemon.wait()
+        raise
+    return daemon, time.perf_counter() - start
+
+
+def stop_daemon(daemon: subprocess.Popen, socket_path: str | None, log) -> None:
+    """Drain and stop a daemon (kill it if that fails); it must exit 0."""
+    from repro.serve.client import ServeClient
+
+    try:
+        if socket_path is not None:
+            ServeClient(socket_path, timeout_s=60.0).shutdown(drain=True)
+            daemon.wait(timeout=60)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+    if daemon.returncode != 0:
+        log.flush()
+        raise BenchError(f"daemon exited {daemon.returncode}: {Path(log.name).read_text()[-2000:]}")
 
 
 def run_serve(seed: int, seconds: float, trace: bool, work: Path) -> dict:
@@ -480,36 +600,28 @@ def run_serve(seed: int, seconds: float, trace: bool, work: Path) -> dict:
     from repro.ir.types import float_tensor
     from repro.serve.client import ServeClient
 
-    socket_abs = work / "d.sock"
-    serve_args = [
-        "--state-dir", str(work / "state"),
-        "--workers", str(SERVE_WORKERS),
-        "--socket", os.path.relpath(socket_abs, ROOT),
-    ]
-    spans_file = work / "daemon-spans.json"
-    if trace:
-        cmd = [sys.executable, str(HERE / "serve_launcher.py"), "--spans-out", str(spans_file),
-               "--", *serve_args]
-    else:
-        cmd = [sys.executable, "-m", "repro.cli.serve", *serve_args]
-    socket_path = os.path.relpath(socket_abs)
+    spans_file = work / "daemon-spans.json" if trace else None
+    starts = []
     with open(work / "daemon.log", "w") as log:
-        start = time.perf_counter()
-        daemon = subprocess.Popen(cmd, cwd=ROOT, env=child_env(), stdout=log, stderr=subprocess.STDOUT)
+        if not trace:
+            for i in range(DAEMON_STARTS - 1):
+                cmd, socket_path = serve_cmd(work, f"probe{i}", None)
+                daemon, took = start_daemon(cmd, socket_path, log)
+                stop_daemon(daemon, socket_path, log)
+                starts.append(took)
+        cmd, socket_path = serve_cmd(work, "state", spans_file)
+        daemon, took = start_daemon(cmd, socket_path, log)
+        starts.append(took)
         try:
+            records, batch_s, window_end = closed_loop(socket_path, seed, seconds, trace)
             client = ServeClient(socket_path, timeout_s=60.0)
-            client.wait_ready(timeout_s=60.0)
-            setup_s = time.perf_counter() - start
-            records, elapsed = closed_loop(socket_path, seed, seconds, trace)
+            for rec in records:
+                if "id" in rec:
+                    rec["served_from"] = client.status(rec["id"]).get("served_from")
             daemon_metrics = client.metrics()
-            client.shutdown(drain=True)
-            daemon.wait(timeout=60)
         finally:
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.wait()
-    if daemon.returncode != 0:
-        raise BenchError(f"daemon exited {daemon.returncode}: {(work / 'daemon.log').read_text()[-2000:]}")
+            stop_daemon(daemon, socket_path, log)
+    setup_s = statistics.median(starts)
 
     patterns = {name: (source, timing) for name, source, _shapes, timing in SERVE_PATTERNS}
     checker = Checker(seed)
@@ -529,9 +641,12 @@ def run_serve(seed: int, seconds: float, trace: bool, work: Path) -> dict:
     attempted = len(records)
     served = {k: counters.get(f"serve.served_from.{k}", 0) / attempted for k in SERVED_FROM}
     firsts = records[: len(SERVE_PATTERNS)]
+    by_class: dict[str, list[float]] = {}
+    for rec in records:
+        by_class.setdefault(rec.get("served_from") or "none", []).append(rec["latency_s"])
     report = {
         "first_sightings": {
-            r["pattern"]: {k: r.get(k) for k in ("improved", "latency_s", "optimized_source", "error")}
+            r["pattern"]: {k: r.get(k) for k in ("improved", "served_from", "latency_s", "optimized_source", "error")}
             for r in firsts
         },
         "requests": attempted,
@@ -539,6 +654,18 @@ def run_serve(seed: int, seconds: float, trace: bool, work: Path) -> dict:
         "workers": SERVE_WORKERS,
         "loop": "closed",
         "shares": {"served_from_of_requests": {"value": served, "base": "requests attempted"}},
+        # Latency per class, from each request's own served_from.
+        "latency_by_served_from": {
+            k: {
+                "requests": len(v),
+                "share": len(v) / attempted,
+                "p50_s": reference.tail_stat(v, 0.5)[0],
+                "p50_basis": reference.tail_stat(v, 0.5)[1],
+                "p90_s": reference.tail_stat(v, 0.9)[0],
+                "p90_basis": reference.tail_stat(v, 0.9)[1],
+            }
+            for k, v in sorted(by_class.items())
+        },
         "daemon_counters": {
             k: v for k, v in counters.items()
             if k.startswith(("serve.status.", "serve.served_from.", "serve.completed", "serve.submitted"))
@@ -554,11 +681,13 @@ def run_serve(seed: int, seconds: float, trace: bool, work: Path) -> dict:
         metrics["serve.result_wait_s"] = sum(r.get("wait_s", 0.0) for r in records)
         for k, share in served.items():
             metrics[f"serve.served_from.{k}"] = share
+        report["moves"] = LAYER_MOVES
         report["trace"] = {
             "daemon_self_s": spans["spans"]["self_s"],
             "daemon_span_calls": spans["spans"]["calls"],
+            "overhead_est_s": spans["spans"]["entries"] * spans["spans"]["wrapper_cost_s"],
             "unwrapped": spans["unwrapped"],
-            "elapsed_s": elapsed,
+            "elapsed_s": window_end,
         }
         return {"metrics": metrics, "report": report, "failures": failures, "attempted": attempted}
 
@@ -581,7 +710,6 @@ def run_serve(seed: int, seconds: float, trace: bool, work: Path) -> dict:
     latency_p50, basis50 = reference.tail_stat(latencies, 0.5)
     latency_p90, basis90 = reference.tail_stat(latencies, 0.9)
     improved = sum(1 for r in firsts if r.get("improved"))
-    batch_s = max(r["done_s"] for r in records[:SERVE_BATCH])
     metrics = {
         "setup_s": setup_s,
         "batch_s": batch_s,
@@ -593,8 +721,8 @@ def run_serve(seed: int, seconds: float, trace: bool, work: Path) -> dict:
         "peak_rss_mb": peak_rss_mb(),
         "latency_s_p50": latency_p50,
         "latency_s_p90": latency_p90,
-        # Served rate once the batch (and every first sighting) is done.
-        "throughput_rps": sum(r["done_s"] > batch_s for r in records) / (elapsed - batch_s),
+        # Requests completed in the window that follows the batch.
+        "throughput_rps": sum(batch_s < r["done_s"] <= window_end for r in records) / seconds,
     }
     report["percentile_basis"] = {
         "kernel_s_p50": basis_k, "kernel_samples": len(firsts),
@@ -626,7 +754,8 @@ def main(argv: list[str] | None = None) -> int:
             result = run_serve(args.seed, args.seconds, bool(args.trace), work)
         else:
             result = run_suite(args.workload, args.seed, args.seconds, bool(args.trace), work)
-    except (BenchError, subprocess.TimeoutExpired, OSError) as exc:
+    except Exception as exc:  # noqa: BLE001 — no result is printed; exit 2, not 1 (a check failed)
+        traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -31,14 +31,15 @@ def main(argv: list[str] | None = None) -> int:
     import repro.cli.serve
     import repro.serve.daemon  # noqa: F401 — load every module whose names get wrapped
     import repro.synth.superoptimizer  # noqa: F401
-    from spans import DAEMON_SPANS, SUITE_SPANS, SpanRecorder, install
+    from spans import DAEMON_SPANS, SUITE_SPANS, SpanRecorder, install, wrapper_cost_s
 
     recorder = SpanRecorder()
     unwrapped = install(recorder, SUITE_SPANS + DAEMON_SPANS)
     try:
         return repro.cli.serve.main(serve_args)
     finally:
-        spans_out.write_text(json.dumps({"spans": recorder.snapshot(), "unwrapped": unwrapped}))
+        spans = dict(recorder.snapshot(), wrapper_cost_s=wrapper_cost_s())
+        spans_out.write_text(json.dumps({"spans": spans, "unwrapped": unwrapped}))
 
 
 if __name__ == "__main__":

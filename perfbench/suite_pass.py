@@ -117,7 +117,11 @@ def main(argv: list[str] | None = None) -> int:
     if cache is not None:
         cache.save()
     batch_s = time.perf_counter() - batch_start
-    spans = recorder.snapshot() if recorder is not None else None
+    spans = None
+    if recorder is not None:
+        from spans import wrapper_cost_s
+
+        spans = dict(recorder.snapshot(), wrapper_cost_s=wrapper_cost_s())
 
     flops = make_cost_model("flops")
     rows = [_row(bench, result, seconds, flops) for bench, result, seconds in timed]

@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 import reference  # noqa: E402
-from spans import SpanRecorder  # noqa: E402
+from spans import SpanRecorder, wrapper_cost_s  # noqa: E402
 from workloads import SERVE_DIMS, SERVE_PATTERNS, SUITES, request_stream  # noqa: E402
 
 # -- the percentile rule ------------------------------------------------------
@@ -70,6 +71,7 @@ def test_self_time_subtracts_children_and_adds_up():
     snap = rec.snapshot()
     assert snap["self_s"] == {"dfs": 7.0, "solve_all": 3.0, "parse": 1.5}
     assert snap["calls"] == {"dfs": 1, "solve_all": 1, "parse": 1}
+    assert snap["entries"] == 4
     assert snap["top_level_s"] == 11.5
     assert sum(snap["self_s"].values()) == snap["top_level_s"]
 
@@ -103,6 +105,11 @@ def test_wrap_records_even_when_the_call_raises():
     with pytest.raises(ValueError):
         rec.wrap("verify_candidate", boom)()
     assert rec.snapshot()["calls"] == {"verify_candidate": 1}
+
+
+def test_wrapper_cost_is_small_and_positive():
+    cost = wrapper_cost_s(calls=20_000)
+    assert 0.0 <= cost < 1e-3
 
 
 # -- the independent reference ------------------------------------------------------
@@ -175,6 +182,8 @@ def test_traced_pass_self_times_add_up_to_the_batch(tmp_path):
     unattributed = result["batch_s"] - spans["top_level_s"]
     assert 0.0 <= unattributed < result["batch_s"]
     assert sum(spans["self_s"].values()) + unattributed == pytest.approx(result["batch_s"])
+    assert spans["entries"] >= sum(spans["calls"].values())
+    assert spans["wrapper_cost_s"] >= 0.0
     assert result["rows"][0]["improved"]
 
 
@@ -186,3 +195,29 @@ def test_metric_names_match_benchmark_json():
     assert {m["name"]: m["unit"] for m in declared["per_layer"]} == run.PER_LAYER
     assert [w["name"] for w in declared["workloads"]] == list(run.WORKLOADS)
     assert set(run.SPAN_METRICS.values()) | set(run.COUNTER_METRICS.values()) <= set(run.PER_LAYER)
+
+
+def readme_moves() -> dict:
+    """The README's table of which end-to-end metric each layer metric moves."""
+    text = (HERE / "README.md").read_text()
+    section = text.split("Which end-to-end metric each layer metric should move", 1)[1]
+    table = section.split("\n\n")[1]
+    moves = {}
+    for name, cell in re.findall(r"^\| `([^`]+)` \| (.+) \|$", table, re.MULTILINE):
+        pairs = []
+        for part in cell.split("; "):
+            metric, workloads = re.fullmatch(r"`([^`]+)` on (.+)", part).groups()
+            pairs.append((metric, tuple(workloads.split(", "))))
+        moves[name] = tuple(pairs)
+    return moves
+
+
+def test_every_layer_metric_names_what_it_moves():
+    import run
+
+    assert set(run.LAYER_MOVES) == set(run.PER_LAYER)
+    for pairs in run.LAYER_MOVES.values():
+        for metric, workloads in pairs:
+            assert metric in run.END_TO_END
+            assert set(workloads) <= set(run.WORKLOADS)
+    assert readme_moves() == run.LAYER_MOVES
