@@ -433,7 +433,9 @@ def run_suite(workload: str, seed: int, seconds: float, trace: bool, work: Path)
         }
         return {"metrics": metrics, "report": report, "failures": failures, "attempted": attempted}
 
-    samples = [row["seconds"] for p in passes for row in p["rows"]]
+    # One sample per kernel, its median over passes: pooling the passes
+    # put the p50 in the gap between the warm set's two clusters of kernels.
+    samples = list(report["per_kernel_s"].values())
     kernel_p50, basis50 = reference.tail_stat(samples, 0.5)
     latency_p90, basis90 = reference.tail_stat(samples, 0.9)
     speedups = [
