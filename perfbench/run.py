@@ -2,7 +2,7 @@
 """The repository benchmark: the paper suite cold, searched and warm, plus
 daemon traffic, end to end and per layer.
 
-    python3 perfbench/run.py --workload suite-enum --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload suite-enum --seed 1 --seconds 10 --trace 0
 
 Workloads (see README.md for why each exists):
 
@@ -180,9 +180,9 @@ LAYER_MOVES = {
 }
 
 #: Suite passes a timed run makes at least; more follow while they fit in
-#: ``--seconds``.  A second pass averages out part of the host's short-term
+#: ``--seconds``.  More passes average out part of the host's short-term
 #: speed noise on the workloads whose pass is short.
-MIN_PASSES = {"suite-enum": 1, "suite-search": 2, "suite-warm": 2}
+MIN_PASSES = {"suite-enum": 1, "suite-search": 3, "suite-warm": 2}
 #: Cold-start probes per suite run (half before the passes, half after) and
 #: daemon starts per serve-mixed run; ``setup_s`` is their median.
 SETUP_PROBES = 9
@@ -390,6 +390,7 @@ def run_suite(workload: str, seed: int, seconds: float, trace: bool, work: Path)
     report = {
         "kernels": len(names),
         "passes": len(passes),
+        "pass_batch_s": batch,
         "per_kernel_s": {
             row["name"]: statistics.median(p["rows"][i]["seconds"] for p in passes)
             for i, row in enumerate(first)
