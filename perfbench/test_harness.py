@@ -19,7 +19,9 @@ sys.path.insert(0, str(HERE))
 
 import reference  # noqa: E402
 from spans import SpanRecorder, wrapper_cost_s  # noqa: E402
-from workloads import SERVE_DIMS, SERVE_PATTERNS, SUITES, request_stream  # noqa: E402
+from workloads import (  # noqa: E402
+    SERVE_DIMS, SERVE_PATTERNS, SUITE_ENUM, SUITE_SEARCH, SUITES, request_stream,
+)
 
 # -- the percentile rule ------------------------------------------------------
 
@@ -159,10 +161,17 @@ def test_request_stream_is_seeded_and_starts_with_every_first_sighting():
     assert all(3 <= d <= 8 for dims in SERVE_DIMS for d in dims)
 
 
-def test_warm_set_covers_the_search_set_and_comes_from_the_cold_sets():
+def test_warm_set_covers_the_search_set_and_comes_from_the_cold_set():
     warm = set(SUITES["suite-warm"])
-    assert set(SUITES["suite-search"]) <= warm
-    assert warm <= set(SUITES["suite-enum"]) | set(SUITES["suite-search"])
+    assert set(SUITE_SEARCH) <= warm
+    assert warm <= set(SUITES["suite-cold"])
+
+
+def test_cold_subsets_split_the_cold_set():
+    cold = SUITES["suite-cold"]
+    assert len(set(cold)) == len(cold) == 30
+    assert set(SUITE_SEARCH) <= set(cold)
+    assert len(SUITE_ENUM) + len(SUITE_SEARCH) == len(cold)
 
 
 # -- the traced pass, end to end ----------------------------------------------------------
